@@ -109,11 +109,11 @@ func TestTopNAllocationBudget(t *testing.T) {
 }
 
 // TestWideSVDAllocationBudget guards the wide-matrix branch of eig.SVD:
-// the transpose is written once into a workspace that the tall-matrix
-// core then consumes in place (TransposeInto + svdTallOwned), instead of
+// the input is copied once into the column-major workspace that the SVD
+// core then consumes in place and hands back as a factor, instead of
 // allocating a transposed copy and cloning it again. For this 80×200
-// input the decomposition allocates ~193 KB/run; reintroducing the extra
-// m·n clone (+128 KB) trips the budget.
+// input the decomposition allocates ~198 KB/run; reintroducing an extra
+// m·n copy (+128 KB) trips the budget.
 func TestWideSVDAllocationBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	m := matrix.New(80, 200)

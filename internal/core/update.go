@@ -29,11 +29,16 @@ import (
 // Each additive update discards singular mass when the batch pushes
 // content past the kept rank; the engine accumulates the discarded
 // fraction and, under the default RefreshAuto policy, schedules a
-// warm-started truncated re-solve (eig.TruncatedSVDOpts seeded with the
-// current factors — one or two sweeps on drifted data) when the running
-// total trips Options.RefreshBudget. The additive path, the refresh
-// path, and the downstream stages all run on the deterministic kernels,
-// so updated decompositions are bitwise identical for any worker count.
+// refresh when the running total trips Options.RefreshBudget. A refresh
+// first tries a warm-started truncated re-solve (eig.TruncatedSVDOpts
+// seeded with the current factors), which converges in a sweep or two
+// only on decaying spectra. On the flat spectra of CF rating matrices —
+// the serving shapes — that attempt bails out with eig.ErrNoConvergence
+// and every refresh ends in the dense full SVD of the densified endpoint
+// (see warmSolve), which is most of the refresh's cost. The additive
+// path, the refresh path, and the downstream stages all run on the
+// deterministic kernels, so updated decompositions are bitwise identical
+// for any worker count.
 
 // Refresh selects the refresh policy of incremental updates
 // (Options.Refresh).
@@ -48,9 +53,11 @@ const (
 	// caller manage accuracy (Decomposition.UpdateResidual exposes the
 	// accumulated budget use).
 	RefreshNever
-	// RefreshAlways re-solves on every batch (warm-started, so still far
-	// cheaper than a cold decomposition) — the most accurate and most
-	// expensive policy.
+	// RefreshAlways re-solves on every batch — the most accurate and
+	// most expensive policy. The warm-started attempt makes a re-solve
+	// cheaper than a cold decomposition only on decaying spectra; on
+	// flat CF spectra every re-solve pays the dense full SVD (see
+	// warmSolve).
 	RefreshAlways
 )
 
@@ -820,11 +827,15 @@ func (o updateOperand) applyHi(v *matrix.Dense) *matrix.Dense {
 	return sparse.MulDense(o.m.HiCSR(), v)
 }
 
-// warmSolve re-decomposes one factor side from the updated matrix,
-// seeded with the current factors: on drifted data the warm-started
-// truncated solver converges in a sweep or two. Falls back to the cold
-// routed solver (and ultimately the dense full solver) when the
-// truncated iteration is not profitable or does not converge.
+// warmSolve re-decomposes one factor side from the updated matrix. It
+// first tries the truncated solver seeded with the current factors,
+// which converges in a sweep or two on decaying spectra. On flat
+// spectra — the CF rating matrices the serving daemon holds — that
+// attempt bails out with eig.ErrNoConvergence, and the side is re-solved
+// by the dense full SVD of the densified matrix (sparseSVD with
+// eig.SolverFull), which is most of a serving refresh's cost. The dense
+// path also runs directly when the routing does not select the
+// truncated solver.
 func warmSolve(csr *sparse.CSR, prev *eig.SVDResult, rank int, solver eig.Solver) (*eig.SVDResult, error) {
 	minDim := csr.Rows
 	if csr.Cols < minDim {

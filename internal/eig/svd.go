@@ -23,14 +23,14 @@ type SVDResult struct {
 // implicit-shift QR on the bidiagonal). The input is not modified.
 func SVD(a *matrix.Dense) (*SVDResult, error) {
 	if a.Rows >= a.Cols {
-		return svdTallOwned(a.Clone())
+		// The column-major workspace of a is the row-major buffer of aᵀ.
+		ws := matrix.TransposeInto(matrix.New(a.Cols, a.Rows), a).Data
+		return svdColMajor(ws, a.Rows, a.Cols)
 	}
-	// Wide matrix: decompose the transpose and swap factors. The
-	// transpose is written once into a fresh workspace that svdTallOwned
-	// then consumes in place (it becomes U) — the former a.T() followed
-	// by an internal Clone allocated and copied the m·n buffer twice.
-	at := matrix.TransposeInto(matrix.New(a.Cols, a.Rows), a)
-	res, err := svdTallOwned(at)
+	// Wide matrix: decompose the transpose and swap factors. a's
+	// row-major buffer already is aᵀ in column-major order, so the
+	// workspace is a straight copy.
+	res, err := svdColMajor(append([]float64(nil), a.Data...), a.Cols, a.Rows)
 	if err != nil {
 		return nil, err
 	}
@@ -53,14 +53,23 @@ func (r *SVDResult) Truncate(rank int) *SVDResult {
 	}
 }
 
-// svdTallOwned computes the SVD of a matrix with Rows >= Cols, consuming
-// its argument: a is overwritten in place and becomes U in the result.
-// Callers that need their matrix afterwards pass a.Clone().
-func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
-	m, n := a.Rows, a.Cols
-	v := matrix.New(n, n)
+// svdColMajor computes the SVD of the m×n matrix (m >= n) stored
+// column-major in a — element (i, j) at a[j*m+i] — consuming a: it is
+// overwritten in place and becomes U's row-major buffer in the result.
+//
+// Every sweep walks contiguous columns of a and of the column-major V,
+// and each element receives exactly the operations, in the same order,
+// of the textbook row-major formulation (the row reflection keeps each
+// row's dot product in ascending-k order through a per-row
+// accumulator), so results are bitwise identical to it at any worker
+// count — pinned by TestSVDBitwiseMatchesReference.
+func svdColMajor(a []float64, m, n int) (*SVDResult, error) {
+	v := make([]float64, n*n)
 	w := make([]float64, n)
 	rv1 := make([]float64, n)
+	// scratch holds the row reflection's per-row dot products during
+	// bidiagonalization, then a copy of row i of a during V accumulation.
+	scratch := make([]float64, m)
 
 	var c, f, h, s, x, y, z float64
 	var anorm, g, scale float64
@@ -78,55 +87,80 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 	// vector in column svI, so the columns shard independently onto the
 	// pool (dot product and update keep their serial k order per column).
 	colReflect := func(jlo, jhi int) {
+		ci := a[svI*m+svI : (svI+1)*m]
 		for j := svL + jlo; j < svL+jhi; j++ {
+			cj := a[j*m+svI : (j+1)*m]
 			sj := 0.0
-			for k := svI; k < m; k++ {
-				sj += a.At(k, svI) * a.At(k, j)
+			for k, x := range ci {
+				sj += x * cj[k]
 			}
 			fj := sj / svF
-			for k := svI; k < m; k++ {
-				a.Set(k, j, a.At(k, j)+fj*a.At(k, svI))
+			for k, x := range ci {
+				cj[k] += fj * x
 			}
 		}
 	}
 	// Rows j > svI are reflected against the fixed row svI; independent
-	// across j, sharded on the pool.
+	// across j, sharded on the pool. Columns are walked k-outer so each
+	// row's dot product accumulates in scratch in ascending k order.
 	rowReflect := func(jlo, jhi int) {
-		for j := svL + jlo; j < svL+jhi; j++ {
-			sj := 0.0
-			for k := svL; k < n; k++ {
-				sj += a.At(j, k) * a.At(svI, k)
+		lo, hi := svL+jlo, svL+jhi
+		acc := scratch[lo:hi]
+		clear(acc)
+		for k := svL; k < n; k++ {
+			aik := a[k*m+svI]
+			for r, x := range a[k*m+lo : k*m+hi] {
+				acc[r] += x * aik
 			}
-			for k := svL; k < n; k++ {
-				a.Set(j, k, a.At(j, k)+sj*rv1[k])
+		}
+		for k := svL; k < n; k++ {
+			fk := rv1[k]
+			ck := a[k*m+lo : k*m+hi]
+			for r, x := range acc {
+				ck[r] += x * fk
 			}
 		}
 	}
 	// Columns j > svI of V transform independently against the (already
-	// written) column svI; sharded on the pool.
+	// written) column svI and row svI of a, copied to scratch; sharded on
+	// the pool.
 	vAccumulate := func(jlo, jhi int) {
+		ri := scratch[svL:n]
+		vi := v[svI*n+svL : (svI+1)*n]
 		for j := svL + jlo; j < svL+jhi; j++ {
+			vj := v[j*n+svL : (j+1)*n]
 			sj := 0.0
-			for k := svL; k < n; k++ {
-				sj += a.At(svI, k) * v.At(k, j)
+			for k, x := range ri {
+				sj += x * vj[k]
 			}
-			for k := svL; k < n; k++ {
-				v.Set(k, j, v.At(k, j)+sj*v.At(k, svI))
+			for k, x := range vi {
+				vj[k] += sj * x
 			}
 		}
 	}
 	// Columns j > svI transform independently against column svI;
 	// sharded on the pool.
 	uAccumulate := func(jlo, jhi int) {
+		ci := a[svI*m : (svI+1)*m]
 		for j := svL + jlo; j < svL+jhi; j++ {
+			cj := a[j*m : (j+1)*m]
 			sj := 0.0
 			for k := svL; k < m; k++ {
-				sj += a.At(k, svI) * a.At(k, j)
+				sj += ci[k] * cj[k]
 			}
-			fj := (sj / a.At(svI, svI)) * svF
+			fj := (sj / ci[svI]) * svF
 			for k := svI; k < m; k++ {
-				a.Set(k, j, a.At(k, j)+fj*a.At(k, svI))
+				cj[k] += fj * ci[k]
 			}
+		}
+	}
+	// rotate applies the Givens rotation (c, s) to the column pair (p, q).
+	rotate := func(p, q []float64, c, s float64) {
+		q = q[:len(p)]
+		for j, y := range p {
+			z := q[j]
+			p[j] = y*c + z*s
+			q[j] = z*c - y*s
 		}
 	}
 
@@ -136,24 +170,25 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 		rv1[i] = scale * g
 		g, s, scale = 0, 0, 0
 		if i < m {
-			for k := i; k < m; k++ {
-				scale += math.Abs(a.At(k, i))
+			ci := a[i*m+i : (i+1)*m]
+			for _, x := range ci {
+				scale += math.Abs(x)
 			}
 			if scale != 0 {
-				for k := i; k < m; k++ {
-					a.Set(k, i, a.At(k, i)/scale)
-					s += a.At(k, i) * a.At(k, i)
+				for k := range ci {
+					ci[k] /= scale
+					s += ci[k] * ci[k]
 				}
-				f = a.At(i, i)
+				f = ci[0]
 				g = -math.Copysign(math.Sqrt(s), f)
 				h = f*g - s
-				a.Set(i, i, f-g)
+				ci[0] = f - g
 				if i != n-1 {
 					svI, svL, svF = i, l, h
 					parallel.For(n-l, parallel.Grain(4*(m-i)), colReflect)
 				}
-				for k := i; k < m; k++ {
-					a.Set(k, i, a.At(k, i)*scale)
+				for k := range ci {
+					ci[k] *= scale
 				}
 			}
 		}
@@ -162,26 +197,26 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 		g, s, scale = 0, 0, 0
 		if i < m && i != n-1 {
 			for k := l; k < n; k++ {
-				scale += math.Abs(a.At(i, k))
+				scale += math.Abs(a[k*m+i])
 			}
 			if scale != 0 {
 				for k := l; k < n; k++ {
-					a.Set(i, k, a.At(i, k)/scale)
-					s += a.At(i, k) * a.At(i, k)
+					a[k*m+i] /= scale
+					s += a[k*m+i] * a[k*m+i]
 				}
-				f = a.At(i, l)
+				f = a[l*m+i]
 				g = -math.Copysign(math.Sqrt(s), f)
 				h = f*g - s
-				a.Set(i, l, f-g)
+				a[l*m+i] = f - g
 				for k := l; k < n; k++ {
-					rv1[k] = a.At(i, k) / h
+					rv1[k] = a[k*m+i] / h
 				}
 				if i != m-1 {
 					svI, svL = i, l
 					parallel.For(m-l, parallel.Grain(4*(n-l)), rowReflect)
 				}
 				for k := l; k < n; k++ {
-					a.Set(i, k, a.At(i, k)*scale)
+					a[k*m+i] *= scale
 				}
 			}
 		}
@@ -192,18 +227,22 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 	for i := n - 1; i >= 0; i-- {
 		if i < n-1 {
 			if g != 0 {
+				vi := v[i*n : (i+1)*n]
 				for j := l; j < n; j++ {
-					v.Set(j, i, (a.At(i, j)/a.At(i, l))/g)
+					vi[j] = (a[j*m+i] / a[l*m+i]) / g
+				}
+				for k := l; k < n; k++ {
+					scratch[k] = a[k*m+i]
 				}
 				svI, svL = i, l
 				parallel.For(n-l, parallel.Grain(4*(n-l)), vAccumulate)
 			}
 			for j := l; j < n; j++ {
-				v.Set(i, j, 0)
-				v.Set(j, i, 0)
+				v[j*n+i] = 0
+				v[i*n+j] = 0
 			}
 		}
-		v.Set(i, i, 1)
+		v[i*n+i] = 1
 		g = rv1[i]
 		l = i
 	}
@@ -212,26 +251,23 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 	for i := n - 1; i >= 0; i-- {
 		l = i + 1
 		g = w[i]
-		if i < n-1 {
-			for j := l; j < n; j++ {
-				a.Set(i, j, 0)
-			}
+		for j := l; j < n; j++ {
+			a[j*m+i] = 0
 		}
+		ci := a[i*m+i : (i+1)*m]
 		if g != 0 {
 			g = 1 / g
 			if i != n-1 {
 				svI, svL, svF = i, l, g
 				parallel.For(n-l, parallel.Grain(4*(m-l)), uAccumulate)
 			}
-			for j := i; j < m; j++ {
-				a.Set(j, i, a.At(j, i)*g)
+			for j := range ci {
+				ci[j] *= g
 			}
 		} else {
-			for j := i; j < m; j++ {
-				a.Set(j, i, 0)
-			}
+			clear(ci)
 		}
-		a.Set(i, i, a.At(i, i)+1)
+		ci[0]++
 	}
 
 	// Diagonalize the bidiagonal form.
@@ -267,12 +303,7 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 					h = 1 / h
 					c = g * h
 					s = -f * h
-					for j := 0; j < m; j++ {
-						y = a.At(j, nm)
-						z = a.At(j, i)
-						a.Set(j, nm, y*c+z*s)
-						a.Set(j, i, z*c-y*s)
-					}
+					rotate(a[nm*m:(nm+1)*m], a[i*m:(i+1)*m], c, s)
 				}
 			}
 			z = w[k]
@@ -280,8 +311,9 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 				// Converged; enforce non-negative singular value.
 				if z < 0 {
 					w[k] = -z
-					for j := 0; j < n; j++ {
-						v.Set(j, k, -v.At(j, k))
+					vk := v[k*n : (k+1)*n]
+					for j := range vk {
+						vk[j] = -vk[j]
 					}
 				}
 				break
@@ -312,12 +344,7 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 				g = g*c - x*s
 				h = y * s
 				y = y * c
-				for jj := 0; jj < n; jj++ {
-					x = v.At(jj, j)
-					z = v.At(jj, i)
-					v.Set(jj, j, x*c+z*s)
-					v.Set(jj, i, z*c-x*s)
-				}
+				rotate(v[j*n:(j+1)*n], v[i*n:(i+1)*n], c, s)
 				z = math.Hypot(f, h)
 				w[j] = z
 				if z != 0 {
@@ -327,12 +354,7 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 				}
 				f = c*g + s*y
 				x = c*y - s*g
-				for jj := 0; jj < m; jj++ {
-					y = a.At(jj, j)
-					z = a.At(jj, i)
-					a.Set(jj, j, y*c+z*s)
-					a.Set(jj, i, z*c-y*s)
-				}
+				rotate(a[j*m:(j+1)*m], a[i*m:(i+1)*m], c, s)
 			}
 			rv1[l] = 0
 			rv1[k] = f
@@ -340,67 +362,81 @@ func svdTallOwned(a *matrix.Dense) (*SVDResult, error) {
 		}
 	}
 
-	sortSVD(a, w, v)
-	canonicalizeSVDSigns(a, v)
-	return &SVDResult{U: a, S: w, V: v}, nil
+	sortSVD(a, w, v, m)
+	// Both factors go back to row-major in place: a transpose is pure
+	// data movement, so the values are unchanged bitwise.
+	transposeInPlace(a, m, n)
+	transposeInPlace(v, n, n)
+	u, vd := &matrix.Dense{Rows: m, Cols: n, Data: a}, &matrix.Dense{Rows: n, Cols: n, Data: v}
+	canonicalizeSVDSigns(u, vd)
+	return &SVDResult{U: u, S: w, V: vd}, nil
 }
 
-// sortSVD permutes the decomposition so singular values descend. The
-// permutation is applied in place by walking its cycles with a single
-// column buffer (pure data movement — no matrix-sized temporaries and
-// no arithmetic, so results are unchanged bitwise).
-func sortSVD(u *matrix.Dense, w []float64, v *matrix.Dense) {
+// sortSVD permutes the column-major decomposition (u is m×n, v is n×n)
+// so singular values descend. The permutation is applied in place by
+// walking its cycles with a single column buffer (pure data movement —
+// no matrix-sized temporaries and no arithmetic, so results are
+// unchanged bitwise).
+func sortSVD(u, w, v []float64, m int) {
 	n := len(w)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return w[idx[a]] > w[idx[b]] })
-	buf := make([]float64, u.Rows+v.Rows+1)
+	buf := make([]float64, 1+m+n)
+	uCol := func(j int) []float64 { return u[j*m : (j+1)*m] }
+	vCol := func(j int) []float64 { return v[j*n : (j+1)*n] }
 	// Walk the cycles of newJ -> idx[newJ]: save the cycle head, shift
 	// each (w, u-col, v-col) triple from its source slot, restore the
 	// head at the cycle's end. idx entries are marked done with -1.
-	saveCol := func(j int) {
-		buf[0] = w[j]
-		for i := 0; i < u.Rows; i++ {
-			buf[1+i] = u.Data[i*u.Cols+j]
-		}
-		for i := 0; i < v.Rows; i++ {
-			buf[1+u.Rows+i] = v.Data[i*v.Cols+j]
-		}
-	}
-	moveCol := func(dst, src int) {
-		w[dst] = w[src]
-		for i := 0; i < u.Rows; i++ {
-			u.Data[i*u.Cols+dst] = u.Data[i*u.Cols+src]
-		}
-		for i := 0; i < v.Rows; i++ {
-			v.Data[i*v.Cols+dst] = v.Data[i*v.Cols+src]
-		}
-	}
-	restoreCol := func(j int) {
-		w[j] = buf[0]
-		for i := 0; i < u.Rows; i++ {
-			u.Data[i*u.Cols+j] = buf[1+i]
-		}
-		for i := 0; i < v.Rows; i++ {
-			v.Data[i*v.Cols+j] = buf[1+u.Rows+i]
-		}
-	}
 	for start := 0; start < n; start++ {
 		if idx[start] < 0 || idx[start] == start {
 			continue
 		}
-		saveCol(start)
+		buf[0] = w[start]
+		copy(buf[1:1+m], uCol(start))
+		copy(buf[1+m:], vCol(start))
 		j := start
 		for idx[j] != start {
 			src := idx[j]
-			moveCol(j, src)
+			w[j] = w[src]
+			copy(uCol(j), uCol(src))
+			copy(vCol(j), vCol(src))
 			idx[j] = -1
 			j = src
 		}
-		restoreCol(j)
+		w[j] = buf[0]
+		copy(uCol(j), buf[1:1+m])
+		copy(vCol(j), buf[1+m:])
 		idx[j] = -1
+	}
+}
+
+// transposeInPlace rearranges the m×n matrix stored column-major in d
+// into row-major order, in place, by following the cycles of the
+// permutation p -> p·n mod (m·n−1) that sends each element's
+// column-major offset to its row-major one; a bitset marks the offsets
+// already placed.
+func transposeInPlace(d []float64, m, n int) {
+	if m == 1 || n == 1 {
+		return // a vector's two layouts coincide
+	}
+	last := m*n - 1
+	done := make([]uint64, (last+63)/64)
+	for start := 1; start < last; start++ {
+		if done[start/64]&(1<<(start%64)) != 0 {
+			continue
+		}
+		val := d[start]
+		for p := start; ; {
+			p = p * n % last
+			d[p], val = val, d[p]
+			done[p/64] |= 1 << (p % 64)
+			if p == start {
+				break
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
+	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -79,6 +80,29 @@ func BenchmarkEigFullSVD(b *testing.B) {
 		b.Run(fmt.Sprintf("64x%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				if _, err := SVD(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSVDServingShape times the dense full SVD at the serving
+// shape: the densified 94×168 lo endpoint of the MovieLensLike×0.1 CF
+// matrix, which every serving refresh falls back to on flat CF spectra.
+// serial pins one worker; pooled uses the default pool.
+func BenchmarkSVDServingShape(b *testing.B) {
+	a := servingEndpoints(b, 1)["lo"]
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"pooled", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			parallel.SetWorkers(bc.workers)
+			defer parallel.SetWorkers(0)
+			b.ReportAllocs()
+			for b.Loop() {
 				if _, err := SVD(a); err != nil {
 					b.Fatal(err)
 				}
