@@ -120,22 +120,55 @@ func TestWideSVDAllocationBudget(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
+	bytesPerRun := svdBytesPerRun(t, func() error {
+		_, err := eig.SVD(m)
+		return err
+	})
+	if bytesPerRun > 250000 {
+		t.Fatalf("wide SVD allocated %.0f bytes/run, want <= 250000 (one transpose workspace, no extra clone)", bytesPerRun)
+	}
+}
+
+// TestTopKSVDAllocationBudget guards the rank-bounded dense SVD at the
+// serving shape (the densified 94×168 MovieLensLike×0.1 lo endpoint,
+// rank 10): it logs the QR phase's Givens rotations in fixed-size
+// chunks, ~490 KB/run in all. A log that grows by doubling and copying
+// allocates 1.1–2.1 MB/run and trips the budget.
+func TestTopKSVDAllocationBudget(t *testing.T) {
+	data, err := dataset.GenerateRatings(dataset.MovieLensLike().Scaled(0.1), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := data.CFIntervalsCSR().LoCSR().ToDense()
+	if m.Rows != 94 || m.Cols != 168 {
+		t.Fatalf("endpoint is %d×%d, want 94×168", m.Rows, m.Cols)
+	}
+	bytesPerRun := svdBytesPerRun(t, func() error {
+		_, err := eig.SVDWith(m, 10, eig.SolverFull)
+		return err
+	})
+	if bytesPerRun > 600000 {
+		t.Fatalf("rank-10 SVD allocated %.0f bytes/run, want <= 600000 (chunked rotation log)", bytesPerRun)
+	}
+}
+
+// svdBytesPerRun returns the bytes one call of svd allocates on one
+// worker, averaged over 10 calls after a warm-up call.
+func svdBytesPerRun(t *testing.T, svd func() error) float64 {
+	t.Helper()
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(0)
-	if _, err := eig.SVD(m); err != nil {
+	if err := svd(); err != nil {
 		t.Fatal(err)
 	}
 	const runs = 10
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, err := eig.SVD(m); err != nil {
+		if err := svd(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
-	bytesPerRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	if bytesPerRun > 250000 {
-		t.Fatalf("wide SVD allocated %.0f bytes/run, want <= 250000 (one transpose workspace, no extra clone)", bytesPerRun)
-	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }

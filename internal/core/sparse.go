@@ -86,10 +86,12 @@ func (o sparseOperand) toICSR() *sparse.ICSR { return o.m }
 
 // sparseSVD decomposes one endpoint CSR at the given rank: through the
 // matrix-free truncated solver when the routing selects it (O(NNZ·r) per
-// sweep, never densified), through the full dense solver on a one-off
-// dense expansion otherwise — a full-spectrum decomposition needs the
-// dense matrix anyway, so SolverFull (or an auto routing at near-full
-// rank) is only sensible for matrices that fit densely.
+// sweep, never densified), through the dense Golub–Reinsch solver on a
+// one-off dense expansion otherwise. That solver builds only the rank
+// kept singular vectors when rank < min(m, n) (eig.SVDWith), but it
+// bidiagonalizes the whole dense matrix, so SolverFull (or an auto
+// routing at near-full rank) is only sensible for matrices that fit
+// densely.
 func sparseSVD(a *sparse.CSR, rank int, solver eig.Solver) (*eig.SVDResult, error) {
 	minDim := a.Rows
 	if a.Cols < minDim {

@@ -34,8 +34,9 @@ import (
 // seeded with the current factors), which converges in a sweep or two
 // only on decaying spectra. On the flat spectra of CF rating matrices —
 // the serving shapes — that attempt bails out with eig.ErrNoConvergence
-// and every refresh ends in the dense full SVD of the densified endpoint
-// (see warmSolve), which is most of the refresh's cost. The additive
+// and every refresh ends in the dense Golub–Reinsch SVD of the densified
+// endpoint (see warmSolve), which builds only the kept rank singular
+// vectors and is still most of the refresh's cost. The additive
 // path, the refresh path, and the downstream stages all run on the
 // deterministic kernels, so updated decompositions are bitwise identical
 // for any worker count.
@@ -56,7 +57,7 @@ const (
 	// RefreshAlways re-solves on every batch — the most accurate and
 	// most expensive policy. The warm-started attempt makes a re-solve
 	// cheaper than a cold decomposition only on decaying spectra; on
-	// flat CF spectra every re-solve pays the dense full SVD (see
+	// flat CF spectra every re-solve pays the dense rank-bounded SVD (see
 	// warmSolve).
 	RefreshAlways
 )
@@ -832,10 +833,11 @@ func (o updateOperand) applyHi(v *matrix.Dense) *matrix.Dense {
 // which converges in a sweep or two on decaying spectra. On flat
 // spectra — the CF rating matrices the serving daemon holds — that
 // attempt bails out with eig.ErrNoConvergence, and the side is re-solved
-// by the dense full SVD of the densified matrix (sparseSVD with
-// eig.SolverFull), which is most of a serving refresh's cost. The dense
-// path also runs directly when the routing does not select the
-// truncated solver.
+// by the dense Golub–Reinsch SVD of the densified matrix (sparseSVD with
+// eig.SolverFull). Below full rank that solver builds only the rank kept
+// singular vectors (see eig.SVDWith); it is still most of a serving
+// refresh's cost. The dense path also runs directly when the routing
+// does not select the truncated solver.
 func warmSolve(csr *sparse.CSR, prev *eig.SVDResult, rank int, solver eig.Solver) (*eig.SVDResult, error) {
 	minDim := csr.Rows
 	if csr.Cols < minDim {

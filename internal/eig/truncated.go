@@ -572,13 +572,15 @@ func sqrtClampedVals(vals []float64) []float64 {
 
 // SVDWith is the solver-routed thin SVD of a dense matrix, truncated to
 // rank: the truncated subspace solver when the routing selects it, the
-// full Golub-Reinsch decomposition otherwise, and a silent full-solver
-// fallback when the truncated iteration reports ErrNoConvergence (flat
-// spectrum, or the signed-top certificate failed on an indefinite
-// operator). The result always has exactly rank columns and is fully
-// owned by the caller. This is the single place the
-// try-truncated-fall-back-to-full policy lives for dense SVDs; SymEigWith
-// is its symmetric counterpart.
+// dense Golub-Reinsch decomposition otherwise, and a silent fallback to
+// the dense solver when the truncated iteration reports ErrNoConvergence
+// (flat spectrum, or the signed-top certificate failed on an indefinite
+// operator). The dense solver builds only the rank kept singular vectors
+// when rank < min(m, n); S is then bitwise equal to SVD(a).S[:rank] and
+// U, V agree with SVD(a).Truncate(rank) to rounding. The result always
+// has exactly rank columns and is fully owned by the caller. This is the
+// single place the try-truncated-fall-back-to-full policy lives for
+// dense SVDs; SymEigWith is its symmetric counterpart.
 func SVDWith(a *matrix.Dense, rank int, solver Solver) (*SVDResult, error) {
 	minDim := a.Rows
 	if a.Cols < minDim {
@@ -596,11 +598,7 @@ func SVDWith(a *matrix.Dense, rank int, solver Solver) (*SVDResult, error) {
 			return nil, err
 		}
 	}
-	res, err := SVD(a)
-	if err != nil {
-		return nil, err
-	}
-	return res.Truncate(rank), nil
+	return svdLeading(a, rank)
 }
 
 // SymEigWith is the solver-routed symmetric eigen-decomposition of a

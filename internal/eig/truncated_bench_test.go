@@ -88,22 +88,26 @@ func BenchmarkEigFullSVD(b *testing.B) {
 	}
 }
 
-// BenchmarkSVDServingShape times the dense full SVD at the serving
-// shape: the densified 94×168 lo endpoint of the MovieLensLike×0.1 CF
-// matrix, which every serving refresh falls back to on flat CF spectra.
-// serial pins one worker; pooled uses the default pool.
+// BenchmarkSVDServingShape times the dense SVD at the serving shape: the
+// densified 94×168 lo endpoint of the MovieLensLike×0.1 CF matrix, which
+// every serving refresh falls back to on flat CF spectra. serial and
+// pooled time the full SVD at one worker and on the default pool;
+// topk_r10 times the rank-10 solve a refresh actually runs
+// (SVDWith at SolverFull), at one worker.
 func BenchmarkSVDServingShape(b *testing.B) {
 	a := servingEndpoints(b, 1)["lo"]
+	topK := func(a *matrix.Dense) (*SVDResult, error) { return SVDWith(a, 10, SolverFull) }
 	for _, bc := range []struct {
 		name    string
 		workers int
-	}{{"serial", 1}, {"pooled", 0}} {
+		svd     func(*matrix.Dense) (*SVDResult, error)
+	}{{"serial", 1, SVD}, {"pooled", 0, SVD}, {"topk_r10", 1, topK}} {
 		b.Run(bc.name, func(b *testing.B) {
 			parallel.SetWorkers(bc.workers)
 			defer parallel.SetWorkers(0)
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := SVD(a); err != nil {
+				if _, err := bc.svd(a); err != nil {
 					b.Fatal(err)
 				}
 			}
