@@ -152,8 +152,34 @@ func TestTopKSVDAllocationBudget(t *testing.T) {
 	}
 }
 
-// svdBytesPerRun returns the bytes one call of svd allocates on one
-// worker, averaged over 10 calls after a warm-up call.
+// TestTopKSymEigAllocationBudget guards the rank-bounded dense
+// eigensolver at the offline sparse decompose's shape (the 504×504 lo
+// endpoint Gram of MovieLensLike×0.3, rank 10): one workspace clone plus
+// the QL phase's chunked rotation log, ~4.3 MB/run, where the full
+// SymEig allocates ~6.1 MB/run (clone, transposed copy and sorted
+// vectors, all n×n). Building the n×n vectors again, or a log that grows
+// by doubling and copying, trips the budget.
+func TestTopKSymEigAllocationBudget(t *testing.T) {
+	data, err := dataset.GenerateRatings(dataset.MovieLensLike().Scaled(0.3), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sparse.GramEndpoints(data.CFIntervalsCSR()).Lo
+	if g.Rows != 504 {
+		t.Fatalf("endpoint Gram is %d×%d, want 504×504", g.Rows, g.Cols)
+	}
+	bytesPerRun := svdBytesPerRun(t, func() error {
+		_, _, err := eig.SymEigWith(g, 10, eig.SolverFull)
+		return err
+	})
+	if bytesPerRun > 5400000 {
+		t.Fatalf("rank-10 SymEig allocated %.0f bytes/run, want <= 5400000 (no n×n vectors, chunked rotation log)", bytesPerRun)
+	}
+}
+
+// svdBytesPerRun returns the bytes one call of svd (any dense
+// decomposition) allocates on one worker, averaged over 10 calls after a
+// warm-up call.
 func svdBytesPerRun(t *testing.T, svd func() error) float64 {
 	t.Helper()
 	parallel.SetWorkers(1)

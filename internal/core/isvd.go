@@ -247,7 +247,7 @@ func decomposeISVD1(op operand, opts Options) (*Decomposition, error) {
 // materialized — each side runs matrix-free on a Gram operator at
 // O(n·m·r) total. Otherwise the interval Gram is built as before and the
 // truncated solver (or, for the full path and on non-convergence
-// fallback, the full SymEig) runs on its endpoints.
+// fallback, the dense eigensolver) runs on its endpoints.
 func gramEig(m *imatrix.IMatrix, opts Options) (vLo, vHi *matrix.Dense, sLo, sHi []float64, pre, dec time.Duration, err error) {
 	matrixFree := func() (eig.SymOp, eig.SymOp) {
 		if opts.ExactAlgebra || !nonNegativeDense(m.Lo) {
@@ -278,7 +278,9 @@ func gramEig(m *imatrix.IMatrix, opts Options) (vLo, vHi *matrix.Dense, sLo, sHi
 // truncated retry would only burn a second iteration budget on the same
 // spectrum. On the materialized mixed-sign path SymEigWith's signed-top
 // certificate guards indefiniteness, falling back to the full solver
-// whenever the negative spectrum would make truncation unsound.
+// whenever the negative spectrum would make truncation unsound. The full
+// solver at rank < n is the top-k dense kernel: it builds only the rank
+// kept eigenvectors, with eigenvalues bitwise equal to SymEig's.
 func gramEigRouted(opts Options, n int, matrixFree func() (eig.SymOp, eig.SymOp), materialize func() *imatrix.IMatrix) (vLo, vHi *matrix.Dense, sLo, sHi []float64, pre, dec time.Duration, err error) {
 	rank := opts.Rank
 	useTrunc := opts.Solver.UseTruncated(rank, n)

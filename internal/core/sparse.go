@@ -138,7 +138,9 @@ func ValidateSparseInput(m *sparse.ICSR) error {
 // converges on (decay past Rank — pinned by the bytes-regression test):
 // if the spectrum is too flat, or the solver routes to full, the
 // pipeline falls back to materializing the dense cols×cols interval Gram
-// (ISVD2-4) or densifying an endpoint (ISVD0/1) rather than failing.
+// (ISVD2-4) or densifying an endpoint (ISVD0/1) rather than failing. The
+// dense fallback still builds only the Rank kept eigen/singular vectors
+// (eig.SymEigWith, eig.SVDWith), never all cols of them.
 // ExactAlgebra is not supported on sparse storage; call Decompose on
 // m.ToIMatrix() for the exact interval product semantics.
 func DecomposeSparse(m *sparse.ICSR, method Method, opts Options) (*Decomposition, error) {

@@ -553,30 +553,19 @@ func svdTopK(a []float64, m, n, k int) (*SVDResult, error) {
 	return &SVDResult{U: u, S: s, V: vd}, nil
 }
 
-// givensChunk is the number of (c, s) pairs in one chunk of a givensLog.
+// givensChunk is the number of (c, s) pairs in one chunk of a
+// givensPairs.
 const givensChunk = 1024
 
-// givensLog records the QR phase for svdTopK. Rotation pairs go into
-// fixed-size chunks, so recording never copies what it already holds;
-// their column indices are implied by segment headers, one per run of
-// consecutive steps. Two sweeps (or cancellations) that happen to
-// continue each other share a header, which describes the same rotations
-// in the same order.
-type givensLog struct {
-	segs    []givensSeg
-	chunks  [][]float64
-	pairs   int    // pairs recorded
-	flipped []bool // flipped[k]: column k of V was negated
+// givensPairs stores logged Givens rotation pairs in fixed-size chunks,
+// so recording never copies what it already holds. The logs of the
+// top-k kernels (givensLog, qlLog) keep their indices beside it.
+type givensPairs struct {
+	chunks [][]float64
+	pairs  int // pairs recorded
 }
 
-// givensSeg is a run of count consecutive steps starting at column l: QR
-// sweep steps (l+t, l+t+1), two pairs each (V then U), when nm < 0, and
-// otherwise cancellation steps (nm, l+t), one U pair each.
-type givensSeg struct {
-	nm, l, count int
-}
-
-func (g *givensLog) put(c, s float64) {
+func (g *givensPairs) put(c, s float64) {
 	i := g.pairs % givensChunk
 	if i == 0 {
 		g.chunks = append(g.chunks, make([]float64, 2*givensChunk))
@@ -586,9 +575,27 @@ func (g *givensLog) put(c, s float64) {
 	g.pairs++
 }
 
-func (g *givensLog) pair(p int) (c, s float64) {
+func (g *givensPairs) pair(p int) (c, s float64) {
 	ch, i := g.chunks[p/givensChunk], 2*(p%givensChunk)
 	return ch[i], ch[i+1]
+}
+
+// givensLog records the QR phase for svdTopK. The column indices of its
+// rotation pairs are implied by segment headers, one per run of
+// consecutive steps. Two sweeps (or cancellations) that happen to
+// continue each other share a header, which describes the same rotations
+// in the same order.
+type givensLog struct {
+	givensPairs
+	segs    []givensSeg
+	flipped []bool // flipped[k]: column k of V was negated
+}
+
+// givensSeg is a run of count consecutive steps starting at column l: QR
+// sweep steps (l+t, l+t+1), two pairs each (V then U), when nm < 0, and
+// otherwise cancellation steps (nm, l+t), one U pair each.
+type givensSeg struct {
+	nm, l, count int
 }
 
 // step counts one step of the segment (nm, next), opening a new segment

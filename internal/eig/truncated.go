@@ -603,7 +603,11 @@ func SVDWith(a *matrix.Dense, rank int, solver Solver) (*SVDResult, error) {
 
 // SymEigWith is the solver-routed symmetric eigen-decomposition of a
 // dense matrix, truncated to the rank leading (algebraically largest)
-// pairs, with the same fallback policy as SVDWith.
+// pairs, with the same fallback policy as SVDWith. The dense solver
+// builds only the rank kept eigenvectors when rank < n (symEigTopK);
+// vals are then bitwise equal to SymEig(a)'s leading rank values and
+// the vectors agree with its leading columns to rounding. The result is
+// fully owned by the caller.
 func SymEigWith(a *matrix.Dense, rank int, solver Solver) (vals []float64, vecs *matrix.Dense, err error) {
 	if rank <= 0 || rank > a.Rows {
 		rank = a.Rows
@@ -617,11 +621,10 @@ func SymEigWith(a *matrix.Dense, rank int, solver Solver) (vals []float64, vecs 
 			return nil, nil, err
 		}
 	}
-	vals, vecs, err = SymEig(a)
-	if err != nil {
-		return nil, nil, err
+	if rank < a.Rows && a.Rows == a.Cols {
+		return symEigTopK(a, rank)
 	}
-	return vals[:rank], vecs.SubMatrix(0, vecs.Rows, 0, rank), nil
+	return SymEig(a)
 }
 
 // scaleColumnsByInv scales column j of m by 1/s[j]; zero singular values

@@ -115,6 +115,35 @@ func BenchmarkSVDServingShape(b *testing.B) {
 	}
 }
 
+// BenchmarkSymEigTopK times the dense symmetric eigensolver on the lo
+// endpoint Gram of the MovieLensLike CF matrix at ×0.1 (n = 168, the
+// serving tenants' Gram) and ×0.3 (n = 504, the offline sparse
+// decompose's), where the truncated attempt does not converge and
+// ISVD2–4 fall back to the dense solver: topk_r10 is the rank-10 solve
+// that fallback runs (SymEigWith at SolverFull), full the n-vector
+// SymEig, both at one worker.
+func BenchmarkSymEigTopK(b *testing.B) {
+	topK := func(a *matrix.Dense) ([]float64, *matrix.Dense, error) { return SymEigWith(a, 10, SolverFull) }
+	for _, scale := range []float64{0.1, 0.3} {
+		a, _ := cfEndpointGrams(b, scale, 1)
+		for _, bc := range []struct {
+			name string
+			eig  func(*matrix.Dense) ([]float64, *matrix.Dense, error)
+		}{{"full", SymEig}, {"topk_r10", topK}} {
+			b.Run(fmt.Sprintf("n=%d/%s", a.Rows, bc.name), func(b *testing.B) {
+				parallel.SetWorkers(1)
+				defer parallel.SetWorkers(0)
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, _, err := bc.eig(a); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkTruncatedSVD(b *testing.B) {
 	for _, n := range []int{256, 512, 1024} {
 		a := benchWide(n)

@@ -405,8 +405,14 @@ func TestDrainWithBreakerOpen(t *testing.T) {
 	// Everything the disk is asked to do now fails.
 	release := s.ArmFailpoint(FailPersist, FailpointSpec{Mode: FailError})
 	defer release()
+	// Hold t1's unit before it runs until both jobs are admitted: its
+	// persist failure trips the breaker, which would otherwise reject
+	// the second submit at admission whenever the executor gets there
+	// first.
+	hold := s.ArmFailpoint(FailExec, FailpointSpec{Tenant: "t1", Mode: FailHang, Count: 1})
 	i1 := submitPatch(t, s, "t1", 1)
 	i2 := submitPatch(t, s, "t2", 1)
+	hold()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
